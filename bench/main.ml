@@ -108,7 +108,9 @@ let e3_fig2 () =
   let check name phi =
     let db = Core.Gadget.database g phi in
     let sat = Satsolver.Dpll.is_sat phi in
-    let certain, dt = timed (fun () -> Cqa.Exact.certain_query q2 db) in
+    let certain, dt =
+      timed (fun () -> Cqa.Exact.certain (Solution_graph.of_query q2 db))
+    in
     Format.printf "%-10s %4d facts %4d blocks  sat=%-5b certain=%-5b agree=%b (%.2fs)@."
       name (Db.size db)
       (List.length (Db.blocks db))
@@ -133,7 +135,7 @@ let e3_fig2 () =
     | Some (phi, db) ->
         incr total;
         let sat = Satsolver.Dpll.is_sat phi in
-        if Cqa.Exact.certain_query q2 db = not sat then incr agree
+        if Cqa.Exact.certain (Solution_graph.of_query q2 db) = not sat then incr agree
   done;
   Format.printf "random 3-SAT: Lemma 13 equivalence held on %d/%d instances@." !agree !total;
   Format.printf "result: paper example %s, unsat example %s, random %d/%d@."
@@ -156,7 +158,9 @@ let e4_prop2 () =
       for _ = 1 to trials do
         let db = Workload.Randdb.random_sjf rng s ~n_facts:10 ~domain:3 in
         let lhs = Cqa.Exact.certain_sjf s db in
-        let rhs = Cqa.Exact.certain_query q (Qlang.Sjf.reduce q db) in
+        let rhs =
+          Cqa.Exact.certain (Solution_graph.of_query q (Qlang.Sjf.reduce q db))
+        in
         if lhs = rhs then incr agree
       done;
       Format.printf "%-10s D |= CERTAIN(sjf(q)) <=> mu(D) |= CERTAIN(q): %d/%d random databases@."
@@ -189,7 +193,8 @@ let e5_thm4 () =
       let trials = 60 in
       for _ = 1 to trials do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:12 ~domain:3 in
-        if Cqa.Certk.certain_query ~k:2 q db = Cqa.Exact.certain_query q db then incr agree;
+        let g = Solution_graph.of_query q db in
+        if Cqa.Certk.run ~k:2 g = Cqa.Exact.certain g then incr agree;
         if Core.Syntactic.zigzag_holds q db then incr zigzag
       done;
       Format.printf "%-18s Cert_2 = CERTAIN: %d/%d   zig-zag property (Lemma 5): %d/%d@."
@@ -209,7 +214,8 @@ let e6_thm9 () =
       let trials = 60 in
       for _ = 1 to trials do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:12 ~domain:3 in
-        if Cqa.Certk.certain_query ~k:3 q db = Cqa.Exact.certain_query q db then incr agree
+        let g = Solution_graph.of_query q db in
+        if Cqa.Certk.run ~k:3 g = Cqa.Exact.certain g then incr agree
       done;
       Format.printf "%-10s Cert_3 = CERTAIN on %d/%d random databases@." name !agree trials)
     [ "q5"; "swap" ]
@@ -270,7 +276,8 @@ let e9_thm18 () =
       let trials = 60 in
       for _ = 1 to trials do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:10 ~domain:3 in
-        if Cqa.Combined.certain_query ~k:2 q db = Cqa.Exact.certain_query q db then
+        let g = Solution_graph.of_query q db in
+        if Cqa.Combined.run ~k:2 g = Cqa.Exact.certain g then
           incr agree
       done;
       Format.printf "%-12s combined(k=2) = CERTAIN on %d/%d random databases@." name
@@ -280,7 +287,9 @@ let e9_thm18 () =
   let report = Core.Dichotomy.classify Catalog.q6 in
   let all_ok = ref true in
   for i = 0 to 6 do
-    let answer, _ = Core.Solver.certain report (Designs.fano_minus i) in
+    let answer, _ =
+      Core.Solver.decision (fst (Core.Solver.solve report (Designs.fano_minus i)))
+    in
     if not answer then all_ok := false
   done;
   Format.printf "solver pipeline answers certain on all 7 fano-minus instances: %b@." !all_ok
@@ -506,11 +515,14 @@ let e13_ablation () =
       in
       let db = Db.of_facts [ Catalog.q3.Query.schema ] facts in
       let parts = Cqa.Partition.split Catalog.q3 db in
-      let t_whole = timed_cell (fun () -> Cqa.Exact.certain_query Catalog.q3 db) in
+      let t_whole =
+        timed_cell (fun () ->
+            Cqa.Exact.certain (Solution_graph.of_query Catalog.q3 db))
+      in
       let t_part =
         timed_cell (fun () ->
             Cqa.Partition.certain_by_components
-              (fun c -> Cqa.Exact.certain_query Catalog.q3 c)
+              (fun c -> Cqa.Exact.certain (Solution_graph.of_query Catalog.q3 c))
               Catalog.q3 db)
       in
       Format.printf "%8d %10d %a   %a@." (Db.size db) (List.length parts) pp_cell

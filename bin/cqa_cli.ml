@@ -62,6 +62,15 @@ let query_arg =
     & pos 0 (some query_conv) None
     & info [] ~docv:"QUERY" ~doc:"Two-atom self-join query, e.g. \"R(x u | x y) R(u y | x z)\".")
 
+(* The positional database of every subcommand that reads one, resolved by
+   [with_db]: a file, or '-' for stdin. *)
+let db_arg =
+  Arg.(
+    required
+    & pos 1 (some string) None
+    & info [] ~docv:"DB"
+        ~doc:"Database file: one fact per line, e.g. \"R(1 | 2)\"; '-' reads stdin.")
+
 let merges_arg =
   Arg.(
     value & opt int 2
@@ -209,7 +218,7 @@ let lint_cmd =
       & info [ "file" ] ~docv:"FILE"
           ~doc:"Lint a catalogue file: one query per line, '#' comments; '-' reads stdin.")
   in
-  let db_arg =
+  let db_opt_arg =
     Arg.(
       value
       & opt (some string) None
@@ -252,7 +261,7 @@ let lint_cmd =
            `P "2 — usage or input error.";
          ])
     Term.(
-      const lint_run $ query_arg $ file_arg $ db_arg $ merges_arg
+      const lint_run $ query_arg $ file_arg $ db_opt_arg $ merges_arg
       $ block_threshold_arg $ json)
 
 (* ------------------------------------------------------------------ *)
@@ -381,7 +390,7 @@ let analyze_cmd =
             "Analyze a catalogue file: one query per line, '#' comments; '-' \
              reads stdin.")
   in
-  let db_arg =
+  let db_opt_arg =
     Arg.(
       value
       & opt (some string) None
@@ -449,7 +458,7 @@ let analyze_cmd =
            `P "2 — usage or ingestion error.";
          ])
     Term.(
-      const analyze_run $ query_arg $ file_arg $ db_arg $ merges_arg
+      const analyze_run $ query_arg $ file_arg $ db_opt_arg $ merges_arg
       $ block_threshold_arg $ no_sanitize_arg $ dump_vm_arg $ json)
 
 (* ------------------------------------------------------------------ *)
@@ -489,41 +498,13 @@ let print_explain budget (attempts : Core.Solver.attempt list) =
       | sites -> Format.fprintf ppf " (%a)" Harness.Budget.pp_site_breakdown sites)
     (Harness.Budget.steps_by_site budget)
 
-(* One journal event per non-decided attempt plus the exhaustion and
-   completion events — the CLI-side mirror of the daemon's per-request
-   journal, so a batch run and a served run produce the same event kinds. *)
+(* The chain's fallback and exhaustion events through the bridge the daemon
+   uses too, then the completion event, so a batch run and a served run
+   produce the same event kinds. *)
 let journal_attempts journal outcome (attempts : Core.Solver.attempt list)
     budget =
-  List.iter
-    (fun (a : Core.Solver.attempt) ->
-      match a.Core.Solver.status with
-      | Core.Solver.Attempt_decided _ -> ()
-      | status ->
-          Obs.Journal.log journal "tier.fallback"
-            [
-              ( "tier",
-                Obs.Trace.String
-                  (Format.asprintf "%a" Core.Solver.pp_tier a.Core.Solver.tier)
-              );
-              ( "algorithm",
-                Obs.Trace.String
-                  (Format.asprintf "%a" Core.Solver.pp_algorithm
-                     a.Core.Solver.algorithm) );
-              ("status", Obs.Trace.String (Core.Solver.status_label status));
-              ("steps", Obs.Trace.Int a.Core.Solver.steps);
-            ])
-    attempts;
-  (match outcome with
-  | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
-      let hottest =
-        match Harness.Budget.hottest_site budget with
-        | None -> []
-        | Some (site, n) ->
-            [ ("site", Obs.Trace.String site); ("site_steps", Obs.Trace.Int n) ]
-      in
-      Obs.Journal.log journal "budget.exhausted"
-        (("steps", Obs.Trace.Int (Harness.Budget.steps budget)) :: hottest)
-  | _ -> ());
+  Core.Solver.journal_chain journal ~steps:(Harness.Budget.steps budget)
+    ~sites:(Harness.Budget.steps_by_site budget) outcome attempts;
   Obs.Journal.log journal "request.completed"
     [
       ("op", Obs.Trace.String "certain");
@@ -644,13 +625,6 @@ let certain_run query db_path k exact_only engine_name timeout max_steps
           exit_error)
 
 let certain_cmd =
-  let db_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"DB"
-          ~doc:"Database file: one fact per line, e.g. \"R(1 | 2)\"; '-' reads stdin.")
-  in
   let k_arg =
     Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Fixpoint parameter of Cert_k.")
   in
@@ -928,7 +902,9 @@ let gadget_run query n_vars n_clauses seed emit_db =
                   (Relational.Database.size db)
                   (Relational.Database.block_count db);
                 let sat = Satsolver.Dpll.is_sat phi in
-                let certain = Cqa.Exact.certain_query query db in
+                let certain =
+                  Cqa.Exact.certain (Qlang.Solution_graph.of_query query db)
+                in
                 Format.printf
                   "satisfiable: %b, certain: %b (Lemma 13: certain = unsat: %b)@."
                   sat certain (certain = not sat);
@@ -987,9 +963,6 @@ let answers_run query db_path free_spec =
         2)
 
 let answers_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let free_arg =
     Arg.(
       required
@@ -1031,9 +1004,6 @@ let explain_run query db_path k =
               0))
 
 let explain_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Cert_k parameter.") in
   Cmd.v
     (Cmd.info "explain"
@@ -1051,9 +1021,6 @@ let dot_run query db_path directed =
       0
 
 let dot_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let directed_arg =
     Arg.(value & flag & info [ "directed" ] ~doc:"Draw directed solutions q(a b).")
   in
@@ -1114,9 +1081,6 @@ let estimate_run query db_path trials seed =
       0
 
 let estimate_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let trials_arg =
     Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"N" ~doc:"Number of sampled repairs.")
   in
@@ -1884,4 +1848,13 @@ let main_cmd =
       bench_cmd;
     ]
 
-let () = exit (Cmd.eval' ~term_err:exit_error main_cmd)
+(* A command line that does not convert is a usage error (exit 2), not
+   cmdliner's default 124, which the exit contract reserves for the
+   wall-clock deadline. *)
+let () =
+  exit
+    (match Cmd.eval_value main_cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> 0
+    | Error (`Parse | `Term) -> exit_error
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -48,7 +48,9 @@ let () =
   List.iter
     (fun (name, q) ->
       let report = Core.Dichotomy.classify q in
-      let answer, algorithm = Core.Solver.certain report db in
+      let answer, algorithm =
+        Core.Solver.decision (fst (Core.Solver.solve report db))
+      in
       Format.printf "%s: %a@.  %s@.  certain: %b (via %a)@.@." name Qlang.Query.pp q
         (Core.Dichotomy.verdict_summary report.Core.Dichotomy.verdict)
         answer Core.Solver.pp_algorithm algorithm)
@@ -68,5 +70,8 @@ let () =
   (* What would it take to make mutual mentoring certain? Drop the wiki's
      claim about ada. *)
   let db' = Db.remove db (fact "ada" "hedy") in
-  let answer, _ = Core.Solver.certain_query mentors db' in
+  let answer, _ =
+    Core.Solver.decision
+      (fst (Core.Solver.solve (Core.Dichotomy.classify mentors) db'))
+  in
   Format.printf "@.after retracting M(ada | hedy): mutual mentoring certain = %b@." answer

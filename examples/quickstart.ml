@@ -39,12 +39,15 @@ let () =
     (Relational.Repair.enumerate db);
 
   (* 4. Certain answers: true iff q holds in every repair. The repair keeping
-     R(1 9) has no path, so q is not certain here. *)
-  let answer, algorithm = Core.Solver.certain report db in
+     R(1 9) has no path, so q is not certain here. [solve] runs the budgeted
+     degradation chain, starting with the algorithm the verdict designates;
+     unbudgeted, it always decides. *)
+  let outcome, _attempts = Core.Solver.solve report db in
+  let answer, algorithm = Core.Solver.decision outcome in
   Format.printf "@.CERTAIN(q) = %b  (computed by %a)@.@." answer
     Core.Solver.pp_algorithm algorithm;
 
   (* 5. Fix the database: with the offending fact gone, q becomes certain. *)
   let db' = Relational.Database.remove db (Relational.Fact.make "R" [ Relational.Value.int 1; Relational.Value.int 9 ]) in
-  let answer', _ = Core.Solver.certain report db' in
+  let answer', _ = Core.Solver.decision (fst (Core.Solver.solve report db')) in
   Format.printf "after removing R(1 9): CERTAIN(q) = %b@." answer'

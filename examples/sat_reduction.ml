@@ -31,7 +31,7 @@ let () =
       (Relational.Database.size db)
       (Relational.Database.block_count db);
     let sat = Satsolver.Dpll.is_sat phi in
-    let certain = Cqa.Exact.certain_query q2 db in
+    let certain = Cqa.Exact.certain (Qlang.Solution_graph.of_query q2 db) in
     Format.printf "satisfiable(%s) = %b,  CERTAIN(q2, D[%s]) = %b@." name sat name certain;
     Format.printf "Lemma 13 (certain = unsatisfiable): %s@.@."
       (if certain = not sat then "HOLDS" else "VIOLATED");
@@ -60,7 +60,7 @@ let () =
     | Some (phi, db) ->
         incr checked;
         let sat = Satsolver.Dpll.is_sat phi in
-        let certain = Cqa.Exact.certain_query q2 db in
+        let certain = Cqa.Exact.certain (Qlang.Solution_graph.of_query q2 db) in
         if certain = not sat then incr ok
   done;
   Format.printf "random 3-SAT spot check: Lemma 13 held on %d/%d instances@." !ok !checked

@@ -129,7 +129,8 @@ let run_case ~budget_s spec =
          fixpoint down each engine's entry point. [certk-vm] ticks at site
          ["vm"] during the scan — visible in its site breakdown. *)
       time "certk-plane" (fun budget ->
-          Cqa.Certk.certain_plane ~budget ~k:spec.k spec.query plane);
+          Cqa.Certk.run ~budget ~k:spec.k
+            (Solution_graph.of_query_compiled spec.query plane));
       time "certk-vm" (fun budget ->
           Cqa.Certk.certain_plane_vm ~budget ~k:spec.k spec.query plane);
     ]

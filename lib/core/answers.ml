@@ -107,7 +107,7 @@ let evaluate ?k ~free (q : Query.t) db =
           bounded_search = false;
         }
       in
-      let certain, _ = Solver.certain ?k report db in
+      let certain, _ = Solver.decision (fst (Solver.solve ?k report db)) in
       { tuple; certain })
     (candidates ~free q db)
 

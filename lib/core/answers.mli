@@ -39,7 +39,8 @@ val ground :
 
 (** [evaluate ?k ~free q db] classifies and solves [q(ā)] for every
     candidate [ā], returning all candidates with their certainty verdict
-    (tuples in lexicographic order). [k] as in {!Solver.certain}. *)
+    (tuples in lexicographic order). Each grounding is decided by
+    {!Solver.solve}; [k] as there. *)
 val evaluate :
   ?k:int ->
   free:Qlang.Term.var list ->

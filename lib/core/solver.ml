@@ -106,8 +106,6 @@ let certain_one_atom_plane atom plane =
     (fun members -> Array.for_all (Qlang.Pattern.matches p) members)
     plane.Compiled.blocks
 
-let certain_one_atom atom db = certain_one_atom_plane atom (Compiled.compile db)
-
 (* The trivial tier under [Engine_vm]: the per-block all-members scan runs
    as a compiled block-scan program over the SoA view. A licence rejection
    falls back to the checked per-block pattern test — same verdict, slower
@@ -118,7 +116,7 @@ let certain_one_atom_vm ?check_vm ?tick atom plane =
   | Ok () -> Qlang.Vm.exists_matching_block ?tick plane prog
   | Error _ -> certain_one_atom_plane atom plane
 
-let certain_trivial ?(engine = Engine_plane) ?check_vm ?tick (q : Query.t)
+let certain_trivial ~engine ?check_vm ?tick (q : Query.t)
     triviality plane =
   let one_atom atom =
     match engine with
@@ -153,41 +151,6 @@ let build_query_graph ~engine ?check_vm ?trace ?tick ?vm_tick q plane =
           | Some tr ->
               Obs.Trace.add_attr tr "vm_fallback" (Obs.Trace.String msg));
           Qlang.Solution_graph.of_query_compiled ?tick q plane)
-
-(* The dispatch core: both planes arrive lazily so each verdict forces only
-   what it needs — the trivial tier touches the compiled plane but never
-   builds the solution graph. *)
-let certain_lazy ?(k = 3) ?(exact = `Backtracking) ?budget
-    (report : Dichotomy.report) ~plane ~graph =
-  let q = report.Dichotomy.query in
-  match report.Dichotomy.verdict with
-  | Dichotomy.Ptime (Dichotomy.Trivial t) ->
-      (certain_trivial q t (Lazy.force plane), Alg_one_atom)
-  | Dichotomy.Ptime Dichotomy.Cert2 ->
-      (Cqa.Certk.run ?budget ~k:2 (Lazy.force graph), Alg_cert2)
-  | Dichotomy.Ptime Dichotomy.Certk_no_tripath ->
-      (Cqa.Certk.run ?budget ~k (Lazy.force graph), Alg_certk k)
-  | Dichotomy.Ptime (Dichotomy.Combined_triangle _) ->
-      (Cqa.Combined.run ?budget ~k (Lazy.force graph), Alg_combined k)
-  | Dichotomy.Conp_complete _ -> (
-      match exact with
-      | `Backtracking ->
-          (Cqa.Exact.certain ?budget (Lazy.force graph), Alg_exact_backtracking)
-      | `Sat -> (Cqa.Satreduce.certain ?budget (Lazy.force graph), Alg_exact_sat))
-
-let certain_graph ?k ?exact ?budget report ~plane ~graph =
-  certain_lazy ?k ?exact ?budget report ~plane ~graph
-
-let certain_plane ?k ?exact ?budget (report : Dichotomy.report) plane =
-  let q = report.Dichotomy.query in
-  certain_lazy ?k ?exact ?budget report ~plane:(lazy plane)
-    ~graph:(lazy (Qlang.Solution_graph.of_query_compiled q plane))
-
-let certain ?k ?exact ?budget (report : Dichotomy.report) db =
-  certain_plane ?k ?exact ?budget report (Compiled.compile db)
-
-let certain_query ?opts ?k ?exact ?budget q db =
-  certain ?k ?exact ?budget (Dichotomy.classify ?opts q) db
 
 (* ------------------------------------------------------------------ *)
 (* The budgeted degradation chain. *)
@@ -235,6 +198,10 @@ let status_label = function
   | Attempt_out_of_budget Harness.Budget.Steps -> "out-of-budget-steps"
   | Attempt_out_of_budget (Harness.Budget.Pressure _) -> "out-of-budget-pressure"
 
+(* The [Budget.steps_by_site] order: most steps first, ties by site name. *)
+let hottest_first (s1, n1) (s2, n2) =
+  match compare (n2 : int) n1 with 0 -> compare s1 s2 | c -> c
+
 (* Per-site step deltas between two [Budget.steps_by_site] snapshots: what
    this tier alone burned, hottest first. *)
 let diff_sites ~before ~after =
@@ -243,8 +210,7 @@ let diff_sites ~before ~after =
       let n0 = match List.assoc_opt site before with Some n0 -> n0 | None -> 0 in
       if n > n0 then Some (site, n - n0) else None)
     after
-  |> List.sort (fun (s1, n1) (s2, n2) ->
-         match compare (n2 : int) n1 with 0 -> compare s1 s2 | c -> c)
+  |> List.sort hottest_first
 
 (* Run the tiers in order. Without [verify], the first tier to complete
    decides and the rest are skipped; a tier that fails (injected fault,
@@ -381,7 +347,7 @@ let run_tiers ?(verify = false) ?fallback ?budget ?trace tiers =
   in
   (outcome, attempts)
 
-let tiers ?(k = 3) ?(exact_only = false) ?(engine = Engine_plane) ?check_vm
+let tiers ?(k = 3) ?(exact_only = false) ~engine ?check_vm
     ?check_certificate ~budget (report : Dichotomy.report) ~plane ~graph =
   let q = report.Dichotomy.query in
   let vm_tick () = Harness.Budget.tick ~site:Harness.Sites.vm budget in
@@ -489,48 +455,82 @@ let apply_plane_gate check_plane p =
       | Ok () -> ()
       | Error msg -> invalid_arg ("compiled plane rejected: " ^ msg))
 
-let solve ?k ?exact_only ?(engine = Engine_plane) ?check_vm ?check_certificate
-    ?check_plane ?(budget = Harness.Budget.unlimited ()) ?verify
-    ?estimate_trials ?(seed = 0) ?trace (report : Dichotomy.report) db =
+(* Success-only memoization (not [lazy], which would also memoize a
+   transient injected fault and poison every later tier). The argument is
+   only consulted on the call that actually builds. *)
+let memo f =
+  let cache = ref None in
+  fun x ->
+    match !cache with
+    | Some v -> v
+    | None ->
+        let v = f x in
+        cache := Some v;
+        v
+
+let compile_tick b () = Harness.Budget.tick ~site:Harness.Sites.compile b
+
+let in_compile_span ?trace phase attrs f =
+  match trace with
+  | None -> f ()
+  | Some tr ->
+      Obs.Trace.with_span tr "compile"
+        ~attrs:(("phase", Obs.Trace.String phase) :: attrs ())
+        f
+
+(* The one chain body behind {!solve} and {!solve_plane}. [plane b] yields
+   the gated execution plane, charging budget [b] at site ["compile"] when
+   it has to build it; [graph] is a caller-cached solution graph that
+   replaces the chain's own build. The whole chain shares ONE plane and ONE
+   graph, built on first demand {e inside} the first tier that needs them,
+   so compile-phase budget exhaustion or chaos is charged to that tier's
+   attempt. The estimate fallback reuses whatever a tier already built and
+   otherwise builds on a fresh unlimited budget: by the time it runs the
+   shared budget is exhausted, and the estimate is the last resort. *)
+let chain ?k ?exact_only ~engine ?check_vm ?check_certificate
+    ?(budget = Harness.Budget.unlimited ()) ?verify ?estimate_trials
+    ?(seed = 0) ?trace ?graph ~plane (report : Dichotomy.report) =
+  let graph_on =
+    match graph with
+    | Some g -> fun _ -> Lazy.force g
+    | None ->
+        memo (fun b ->
+            let p = plane b in
+            in_compile_span ?trace "graph"
+              (fun () ->
+                [
+                  ("facts", Obs.Trace.Int (Compiled.n_facts p));
+                  ("engine", Obs.Trace.String (engine_label engine));
+                ])
+              (fun () ->
+                build_query_graph ~engine ?check_vm ?trace ~tick:(compile_tick b)
+                  ~vm_tick:(fun () -> Harness.Budget.tick ~site:Harness.Sites.vm b)
+                  report.Dichotomy.query p))
+  in
   let fallback =
     Option.map
       (fun trials () ->
         let rng = Random.State.make [| seed; 0xE571 |] in
-        Cqa.Montecarlo.estimate rng ~trials report.Dichotomy.query db)
+        Cqa.Montecarlo.estimate_g rng ~trials
+          (graph_on (Harness.Budget.unlimited ())))
       estimate_trials
   in
-  (* The whole chain shares ONE compiled plane and ONE solution graph,
-     built on first demand by whichever tier needs them. Memoization is
-     success-only (not [lazy], which would also memoize a transient
-     injected fault and poison every later tier); the thunks are forced
-     {e inside} a tier's [decide], so compile-phase budget exhaustion or
-     chaos is charged to that tier's attempt, exactly as the per-solver
-     index builds used to be. *)
-  let memo f =
-    let cache = ref None in
-    fun () ->
-      match !cache with
-      | Some v -> v
-      | None ->
-          let v = f () in
-          cache := Some v;
-          v
-  in
-  let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
-  let in_compile_span phase attrs f =
-    match trace with
-    | None -> f ()
-    | Some tr ->
-        Obs.Trace.with_span tr "compile"
-          ~attrs:(("phase", Obs.Trace.String phase) :: attrs ())
-          f
-  in
+  in_solve_span ?trace report budget (fun () ->
+      run_tiers ?verify ?fallback ~budget ?trace
+        (tiers ?k ?exact_only ~engine ?check_vm ?check_certificate ~budget
+           report
+           ~plane:(fun () -> plane budget)
+           ~graph:(fun () -> graph_on budget)))
+
+let solve ?k ?exact_only ?(engine = Engine_plane) ?check_vm ?check_certificate
+    ?check_plane ?budget ?verify ?estimate_trials ?seed ?trace
+    (report : Dichotomy.report) db =
   let plane =
-    memo (fun () ->
-        in_compile_span "plane"
+    memo (fun b ->
+        in_compile_span ?trace "plane"
           (fun () -> [ ("facts", Obs.Trace.Int (Database.size db)) ])
           (fun () ->
-            let p = Compiled.compile ~tick db in
+            let p = Compiled.compile ~tick:(compile_tick b) db in
             (match trace with
             | None -> ()
             | Some tr ->
@@ -541,89 +541,27 @@ let solve ?k ?exact_only ?(engine = Engine_plane) ?check_vm ?check_certificate
             apply_plane_gate check_plane p;
             p))
   in
-  let vm_tick () = Harness.Budget.tick ~site:Harness.Sites.vm budget in
-  let graph =
-    memo (fun () ->
-        let p = plane () in
-        in_compile_span "graph"
-          (fun () ->
-            [
-              ("facts", Obs.Trace.Int (Compiled.n_facts p));
-              ("engine", Obs.Trace.String (engine_label engine));
-            ])
-          (fun () ->
-            build_query_graph ~engine ?check_vm ?trace ~tick ~vm_tick
-              report.Dichotomy.query p))
-  in
-  in_solve_span ?trace report budget (fun () ->
-      run_tiers ?verify ?fallback ~budget ?trace
-        (tiers ?k ?exact_only ~engine ?check_vm ?check_certificate ~budget
-           report ~plane ~graph))
+  chain ?k ?exact_only ~engine ?check_vm ?check_certificate ?budget ?verify
+    ?estimate_trials ?seed ?trace ~plane report
 
-let solve_plane ?k ?exact_only ?(engine = Engine_plane) ?check_vm
-    ?check_certificate ?check_plane ?(budget = Harness.Budget.unlimited ())
-    ?verify ?estimate_trials ?(seed = 0) ?trace (report : Dichotomy.report)
-    plane =
-  let q = report.Dichotomy.query in
-  (* The gate verdict is computed at most once; every tier (and the
-     fallback's graph build) re-raises it, so a corrupt cached plane cannot
-     answer through any path. *)
-  let gate_verdict = lazy (apply_plane_gate check_plane plane) in
-  let gated_plane () =
-    Lazy.force gate_verdict;
-    plane
-  in
-  (* The plane arrives pre-compiled (typically from a serve-side cache that
-     charged its own compilation when it first built it), so only the
-     solution graph is built here — memoized success-only, exactly as in
-     {!solve}. The estimate fallback reuses the cached graph when a tier
-     already built it, and otherwise builds it {e unbudgeted}: by the time
-     the fallback runs the shared budget is exhausted, and the estimate is
-     the last resort. *)
-  let graph_cache = ref None in
-  let build_graph ?tick ?vm_tick () =
-    match !graph_cache with
-    | Some g -> g
-    | None ->
-        let build () =
-          let g =
-            build_query_graph ~engine ?check_vm ?trace ?tick ?vm_tick q
-              (gated_plane ())
-          in
-          graph_cache := Some g;
-          g
-        in
-        (match trace with
-        | None -> build ()
-        | Some tr ->
-            Obs.Trace.with_span tr "compile"
-              ~attrs:
-                [
-                  ("phase", Obs.Trace.String "graph");
-                  ("facts", Obs.Trace.Int (Compiled.n_facts plane));
-                ]
-              build)
-  in
-  let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
-  let vm_tick () = Harness.Budget.tick ~site:Harness.Sites.vm budget in
-  let graph () = build_graph ~tick ~vm_tick () in
-  let fallback =
-    Option.map
-      (fun trials () ->
-        let rng = Random.State.make [| seed; 0xE571 |] in
-        Cqa.Montecarlo.estimate_g rng ~trials (build_graph ()))
-      estimate_trials
-  in
-  in_solve_span ?trace report budget (fun () ->
-      run_tiers ?verify ?fallback ~budget ?trace
-        (tiers ?k ?exact_only ~engine ?check_vm ?check_certificate ~budget
-           report ~plane:gated_plane ~graph))
+let solve_plane ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
+    ?estimate_trials ?seed ?trace ?graph (report : Dichotomy.report) plane =
+  (* The plane arrives pre-compiled, its compilation charged by whoever
+     built it. The gate verdict is computed at most once and re-raised on
+     every force, so a corrupt cached plane cannot answer through any
+     path. *)
+  let gate = lazy (apply_plane_gate check_plane plane) in
+  chain ?k ?exact_only ~engine:Engine_plane ?check_certificate ?budget ?verify
+    ?estimate_trials ?seed ?trace ?graph
+    ~plane:(fun _ ->
+      Lazy.force gate;
+      plane)
+    report
 
-let solve_query ?opts ?k ?exact_only ?engine ?check_vm ?check_certificate
-    ?check_plane ?budget ?verify ?estimate_trials ?seed ?trace q db =
-  solve ?k ?exact_only ?engine ?check_vm ?check_certificate ?check_plane
-    ?budget ?verify ?estimate_trials ?seed ?trace (Dichotomy.classify ?opts q)
-    db
+let decision : outcome -> bool * algorithm = function
+  | Harness.Outcome.Decided d -> d
+  | Harness.Outcome.Solver_error msg -> failwith msg
+  | o -> failwith ("no decision: " ^ outcome_label o)
 
 (* Bridge a chain's attempts into a metrics registry: per-tier latency and
    step histograms plus status counters, alongside the per-site tick
@@ -646,3 +584,35 @@ let record_metrics metrics outcome (attempts : attempt list) =
         (float_of_int a.steps))
     attempts;
   Obs.Metrics.incr metrics ("solver.outcome." ^ outcome_label outcome)
+
+(* Bridge a finished chain into a journal, so [cqa certain --journal] and
+   the serve daemon tell the same degradation story: one [tier.fallback]
+   event per attempt that did not decide, then — when the chain ran out of
+   budget — one [budget.exhausted] event naming the hottest of [sites]. *)
+let journal_chain journal ~steps ~sites outcome (attempts : attempt list) =
+  List.iter
+    (fun (a : attempt) ->
+      match a.status with
+      | Attempt_decided _ -> ()
+      | status ->
+          Obs.Journal.log journal "tier.fallback"
+            [
+              ("tier", Obs.Trace.String (Format.asprintf "%a" pp_tier a.tier));
+              ( "algorithm",
+                Obs.Trace.String (Format.asprintf "%a" pp_algorithm a.algorithm)
+              );
+              ("status", Obs.Trace.String (status_label status));
+              ("steps", Obs.Trace.Int a.steps);
+            ])
+    attempts;
+  match outcome with
+  | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
+      let hottest =
+        match List.sort hottest_first sites with
+        | [] -> []
+        | (site, n) :: _ ->
+            [ ("site", Obs.Trace.String site); ("site_steps", Obs.Trace.Int n) ]
+      in
+      Obs.Journal.log journal "budget.exhausted"
+        (("steps", Obs.Trace.Int steps) :: hottest)
+  | _ -> ()

@@ -67,15 +67,10 @@ val build_query_graph :
     match (conflicting constants). *)
 val conjunction_atom : Qlang.Query.t -> Qlang.Atom.t option
 
-(** [certain_one_atom atom db] decides certainty of the one-atom query
-    [∃* atom]: some block has all its facts matching [atom]. Compiles [db]
-    on the fly; use {!certain_one_atom_plane} when a compiled plane is
-    already at hand. *)
-val certain_one_atom : Qlang.Atom.t -> Relational.Database.t -> bool
-
-(** {!certain_one_atom} on an already-compiled execution plane: the block
-    scan runs over the plane's int-tuple block partition with a compiled
-    {!Qlang.Pattern}, never touching the persistent database. *)
+(** [certain_one_atom_plane atom plane] decides certainty of the one-atom
+    query [∃* atom] on a compiled execution plane: some block has all its
+    facts matching [atom]. The block scan runs over the plane's int-tuple
+    block partition with a compiled {!Qlang.Pattern}. *)
 val certain_one_atom_plane : Qlang.Atom.t -> Relational.Compiled.t -> bool
 
 (** [certain_one_atom_vm atom plane] is {!certain_one_atom_plane} with the
@@ -90,66 +85,16 @@ val certain_one_atom_vm :
   Relational.Compiled.t ->
   bool
 
-(** [certain ?k report db] answers CERTAIN for the classified query on [db],
-    returning the algorithm used. [k] bounds the fixpoint parameter of
-    [Cert_k] (default 3; the paper's bound {!Cqa.Certk.paper_k} is
-    astronomically larger but never needed on practical instances — see
-    EXPERIMENTS.md). For coNP-complete queries [exact] selects the
-    exponential solver (default [`Backtracking]). When [budget] is given it
-    is threaded into the designated algorithm and {!Harness.Budget.Budget_exceeded}
-    propagates; use {!solve} for the graceful-degradation behaviour.
-
-    Compiles [db] once and dispatches through {!certain_plane}. *)
-val certain :
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Dichotomy.report ->
-  Relational.Database.t ->
-  bool * algorithm
-
-(** [certain_plane report plane] is {!certain} on a pre-compiled execution
-    plane: the solution graph is built from [plane] only when the designated
-    algorithm needs it (trivial queries never build it). *)
-val certain_plane :
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Dichotomy.report ->
-  Relational.Compiled.t ->
-  bool * algorithm
-
-(** [certain_graph report ~plane ~graph] is the fully-shared form: both the
-    compiled plane and the solution graph arrive as lazy values (typically
-    cached in a {!Session.t}), and only what the designated algorithm needs
-    is forced. *)
-val certain_graph :
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Dichotomy.report ->
-  plane:Relational.Compiled.t Lazy.t ->
-  graph:Qlang.Solution_graph.t Lazy.t ->
-  bool * algorithm
-
-(** [certain_query ?opts ?k ?exact q db] classifies then solves. *)
-val certain_query :
-  ?opts:Tripath_search.options ->
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Qlang.Query.t ->
-  Relational.Database.t ->
-  bool * algorithm
-
 (** {2 Budgeted degradation chain}
 
-    {!solve} replaces the bare boolean answer with a structured
-    {!type:outcome} and runs a chain of solver tiers under a shared
-    {!Harness.Budget.t}: the classifier-designated PTIME algorithm first
-    (when the query is tractable), then the SAT reduction, then the budgeted
-    exact backtracking search, and finally — when enabled — a seeded Monte
-    Carlo estimate returned as an explicitly-labelled degraded answer. A
+    The chain is the only way to answer CERTAIN. It has two front-ends
+    over one body — {!solve} on a persistent database, {!solve_plane} on a
+    pre-compiled plane — and returns a structured {!type:outcome}. It runs
+    a chain of solver tiers under a shared {!Harness.Budget.t}: the
+    classifier-designated PTIME algorithm first (when the query is
+    tractable), then the SAT reduction, then the budgeted exact
+    backtracking search, and finally — when enabled — a seeded Monte Carlo
+    estimate returned as an explicitly-labelled degraded answer. A
     tier that fails (an injected chaos fault, a refused instance) falls
     through to the next tier; budget exhaustion stops the chain, because the
     budget is shared and any later exact tier would hit the same wall. *)
@@ -213,13 +158,15 @@ val run_tiers :
   outcome * attempt list
 
 (** [solve report db] runs the degradation chain for a classified query.
-    [estimate_trials] enables the Monte Carlo fallback tier with that many
-    sampled repairs (seeded by [seed], default 0). [verify] additionally
-    runs every tier and checks cross-solver agreement. [exact_only] skips
-    the PTIME tier even when the classifier designates one, forcing the
-    exact tiers to decide. Never raises on budget exhaustion or injected
-    faults — these come back as structured outcomes together with the trace
-    of attempted tiers.
+    [k] bounds the fixpoint parameter of [Cert_k] (default 3; the paper's
+    bound {!Cqa.Certk.paper_k} is astronomically larger but never needed on
+    practical instances — see EXPERIMENTS.md). [estimate_trials] enables the
+    Monte Carlo fallback tier with that many sampled repairs (seeded by
+    [seed], default 0). [verify] additionally runs every tier and checks
+    cross-solver agreement. [exact_only] skips the PTIME tier even when the
+    classifier designates one, forcing the exact tiers to decide. Never
+    raises on budget exhaustion or injected faults — these come back as
+    structured outcomes together with the trace of attempted tiers.
 
     [check_certificate] is the {e certificate gate}: before the PTIME tier
     runs the algorithm the classification designated, the injected checker
@@ -231,11 +178,11 @@ val run_tiers :
     [--verify-certificate] passes [Analysis.Check.audit_report].
 
     [check_plane] is the {e plane gate}, the same pattern one layer down:
-    the injected checker validates the compiled execution plane right after
-    it is built and before any tier consumes it; on rejection every
-    plane-consuming tier fails ([Attempt_failed] carrying the checker's
-    message) and the run ends in [Solver_error] — a corrupt plane must
-    never produce a verdict. The CLI and the serve daemon pass
+    the injected checker validates the compiled execution plane before any
+    tier consumes it; on rejection every plane-consuming tier fails
+    ([Attempt_failed] carrying the checker's message), the estimate fallback
+    fails too, and the run ends in [Solver_error] — a corrupt plane must
+    never produce an answer. The CLI and the serve daemon pass
     [Analysis.Sanitize.gate] unless [--no-sanitize] is given.
 
     The chain compiles the database {e once}: the compiled execution plane
@@ -246,7 +193,9 @@ val run_tiers :
     in the attempts' per-site breakdown, and — when traced — as nested
     [compile] spans (attrs [phase=plane] / [phase=graph]). Memoization is
     success-only: a transient injected fault during compilation fails only
-    the current tier, and the next tier retries the build.
+    the current tier, and the next tier retries the build. The Monte Carlo
+    fallback samples on the solution graph ({!Cqa.Montecarlo.estimate_g}),
+    building it on a fresh unlimited budget if no tier did.
 
     [engine] selects how the matching loops execute (default
     [Engine_plane]). Under [Engine_vm] the graph build and the trivial tier
@@ -280,18 +229,18 @@ val solve :
   outcome * attempt list
 
 (** [solve_plane report plane] is {!solve} atop a {e pre-compiled} execution
-    plane: the plane is taken as-is (its compilation was charged by whoever
-    built it — typically a serve-side plane cache), and only the solution
-    graph is built here, memoized success-only and charged to [budget] at
-    site {!Harness.Sites.compile}. The Monte-Carlo fallback samples on the
-    graph ({!Cqa.Montecarlo.estimate_g}), which agrees with the
-    persistent-plane estimator for equal seeds — so degraded answers are
-    byte-identical whichever entry point served them. *)
+    plane (the serve daemon's plane cache, a {!Session.t}): the plane is
+    taken as-is — its compilation was charged by whoever built it — and
+    gated once by [check_plane]. [graph] is a caller-cached solution graph
+    for [plane] (a session's incrementally repaired one); it is forced only
+    when a tier needs it and replaces the chain's own build. Without it the
+    graph is built here on the checked plane engine, memoized success-only
+    and charged to [budget] at site {!Harness.Sites.compile}. Verdicts,
+    attempts and seeded estimates are identical to {!solve} on the
+    database the plane was compiled from. *)
 val solve_plane :
   ?k:int ->
   ?exact_only:bool ->
-  ?engine:engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
   ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
   ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
   ?budget:Harness.Budget.t ->
@@ -299,27 +248,17 @@ val solve_plane :
   ?estimate_trials:int ->
   ?seed:int ->
   ?trace:Obs.Trace.t ->
+  ?graph:Qlang.Solution_graph.t Lazy.t ->
   Dichotomy.report ->
   Relational.Compiled.t ->
   outcome * attempt list
 
-(** [solve_query q db] classifies then runs {!solve}. *)
-val solve_query :
-  ?opts:Tripath_search.options ->
-  ?k:int ->
-  ?exact_only:bool ->
-  ?engine:engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
-  ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
-  ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
-  ?budget:Harness.Budget.t ->
-  ?verify:bool ->
-  ?estimate_trials:int ->
-  ?seed:int ->
-  ?trace:Obs.Trace.t ->
-  Qlang.Query.t ->
-  Relational.Database.t ->
-  outcome * attempt list
+(** [decision outcome] is the [(answer, algorithm)] of a [Decided] outcome —
+    what an unbudgeted chain without an estimate fallback always returns
+    unless every tier failed.
+    @raise Failure on any other outcome, with the [Solver_error] message or
+    the outcome's label. *)
+val decision : outcome -> bool * algorithm
 
 (** Bucket bounds used for the [solver.tier.<tier>.steps] histograms:
     decades from 1 to 10^6 steps. *)
@@ -332,3 +271,18 @@ val step_bounds : float list
     --metrics] and the serve daemon's per-request registries — record
     through this one bridge, so their names and bucket shapes agree. *)
 val record_metrics : Obs.Metrics.t -> outcome -> attempt list -> unit
+
+(** [journal_chain journal ~steps ~sites outcome attempts] journals one
+    finished chain: a [tier.fallback] event per attempt that did not decide
+    and, on [Timeout] / [Budget_exhausted], one [budget.exhausted] event
+    carrying [steps] and the hottest entry of [sites] (most steps first,
+    ties by site name — the {!Harness.Budget.steps_by_site} order). Both
+    front-ends — [cqa certain --journal] and the serve daemon — journal
+    through this one bridge. *)
+val journal_chain :
+  Obs.Journal.t ->
+  steps:int ->
+  sites:(string * int) list ->
+  outcome ->
+  attempt list ->
+  unit

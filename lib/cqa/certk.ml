@@ -222,7 +222,6 @@ let fixpoint ?budget (g : Solution_graph.t) ~k =
   st
 
 let run ?budget ~k g = (fixpoint ?budget g ~k).empty_derived
-let certain_query ?budget ~k q db = run ?budget ~k (Solution_graph.of_query q db)
 
 let derived ~k g =
   let st = fixpoint g ~k in
@@ -297,15 +296,12 @@ let paper_k q =
   if kap >= 30 then max_int
   else (1 lsl ((2 * kap) + 1)) + kap - 1
 
-let certain_plane ?budget ~k q plane =
-  run ?budget ~k (Solution_graph.of_query_compiled q plane)
-
 let certain_plane_vm ?budget ~k q plane =
   (* The wake/match work — solution enumeration — runs as a compiled VM
      scan program, ticking the budget at its own site so chaos schedules
      and step budgets cover the unsafe-indexed loop like any other solver
-     loop; the fixpoint on the resulting graph is shared with
-     [certain_plane]. *)
+     loop; the fixpoint on the resulting graph is the
+     ordinary [run]. *)
   let tick =
     Option.map
       (fun b () -> Harness.Budget.tick ~site:Harness.Sites.vm b)

@@ -24,11 +24,6 @@
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val run : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> bool
 
-(** [certain_query ?budget ~k q db] builds the solution graph and runs
-    [Cert_k]. *)
-val certain_query :
-  ?budget:Harness.Budget.t -> k:int -> Qlang.Query.t -> Relational.Database.t -> bool
-
 (** [derived ~k g] exposes the fixpoint's minimal sets (sorted vertex lists),
     for inspection and tests. [run] returns [true] iff this contains [[]]. *)
 val derived : k:int -> Qlang.Solution_graph.t -> int list list
@@ -67,25 +62,15 @@ val kappa : Qlang.Query.t -> int
     large key lengths. *)
 val paper_k : Qlang.Query.t -> int
 
-(** [certain_plane ?budget ~k q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]): the solution graph is built
-    directly on the plane's interned arrays, with no recompilation of the
-    database. Verdicts are identical to the persistent-plane path (pinned by
-    the differential suite). *)
-val certain_plane :
-  ?budget:Harness.Budget.t ->
-  k:int ->
-  Qlang.Query.t ->
-  Relational.Compiled.t ->
-  bool
-
-(** [certain_plane_vm ?budget ~k q plane] is {!certain_plane} with the
-    wake/match inner loop — the solution enumeration feeding the fixpoint —
+(** [certain_plane_vm ?budget ~k q plane] runs {!run} on [q]'s solution
+    graph over the compiled execution plane [plane], with the wake/match
+    inner loop — the solution enumeration feeding the fixpoint —
     executed as a compiled [Qlang.Vm] scan program over the
     structure-of-arrays view. [budget] is ticked once per outer candidate
     row at site ["vm"] ([Harness.Sites.vm]) during the scan, then as usual
     at ["certk"] during the fixpoint. Verdicts are identical to
-    {!certain_plane} (the [@vm-smoke] differential suite pins this).
+    {!run} on [Qlang.Solution_graph.of_query_compiled q plane] (the
+    [@vm-smoke] differential suite pins this).
     @raise Invalid_argument if the assembled program fails the VM's
     internal memory-safety check. *)
 val certain_plane_vm :

@@ -57,7 +57,6 @@ let falsifying_repair ?(budget = Harness.Budget.unlimited ()) (g : Solution_grap
   else None
 
 let certain ?budget g = Option.is_none (falsifying_repair ?budget g)
-let certain_query ?budget q db = certain ?budget (Solution_graph.of_query q db)
 let certain_sjf ?budget s db = certain ?budget (Qlang.Sjf.solution_graph s db)
 
 let certain_enum ?(budget = Harness.Budget.unlimited ()) q db =
@@ -67,6 +66,3 @@ let certain_enum ?(budget = Harness.Budget.unlimited ()) q db =
   Relational.Repair.for_all db (fun r ->
       Harness.Budget.tick ~site:Harness.Sites.exact budget;
       Qlang.Solutions.query_satisfies q r)
-
-let certain_plane ?budget q plane =
-  certain ?budget (Solution_graph.of_query_compiled q plane)

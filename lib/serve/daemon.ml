@@ -411,42 +411,9 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
                   [] attempts
               in
               t.req_sites <- List.sort compare sites;
-              List.iter
-                (fun (a : Core.Solver.attempt) ->
-                  match a.Core.Solver.status with
-                  | Core.Solver.Attempt_decided _ -> ()
-                  | status ->
-                      jlog t "tier.fallback"
-                        [
-                          ("tier", Obs.Trace.String (tier_label a.Core.Solver.tier));
-                          ( "algorithm",
-                            Obs.Trace.String (algorithm_name a.Core.Solver.algorithm)
-                          );
-                          ("status", Obs.Trace.String (Core.Solver.status_label status));
-                          ("steps", Obs.Trace.Int a.Core.Solver.steps);
-                        ])
-                attempts;
-              (match outcome with
-              | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
-                  let hottest =
-                    List.fold_left
-                      (fun acc (site, n) ->
-                        match acc with
-                        | Some (_, m) when m >= n -> acc
-                        | _ -> Some (site, n))
-                      None sites
-                  in
-                  jlog t "budget.exhausted"
-                    ([ ("steps", Obs.Trace.Int steps) ]
-                    @
-                    match hottest with
-                    | Some (site, n) ->
-                        [
-                          ("site", Obs.Trace.String site);
-                          ("site_steps", Obs.Trace.Int n);
-                        ]
-                    | None -> [])
-              | _ -> ());
+              Option.iter
+                (fun j -> Core.Solver.journal_chain j ~steps ~sites outcome attempts)
+                t.journal;
               let common =
                 [
                   ("cache", Json.String (if hit then "hit" else "miss"));

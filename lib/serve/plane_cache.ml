@@ -127,6 +127,7 @@ let find t fp =
   | Some slot when not (validate t fp slot) -> None
   | Some slot ->
       touch t slot;
+      t.hits <- t.hits + 1;
       Some slot.entry
 
 let evict_lru t =
@@ -156,12 +157,9 @@ let sanitize_or_reject t plane =
 
 let find_or_compile ?tick t db =
   let facts_xor, fp = Fingerprint.of_db db in
-  match Hashtbl.find_opt t.slots fp with
-  | Some slot when validate t fp slot ->
-      touch t slot;
-      t.hits <- t.hits + 1;
-      (slot.entry, true)
-  | Some _ | None ->
+  match find t fp with
+  | Some entry -> (entry, true)
+  | None ->
       (* Compile before touching the table: a chaos fault or budget stop
          raised mid-compilation must leave the cache unchanged. *)
       let plane = Relational.Compiled.compile ?tick db in

@@ -83,13 +83,14 @@ val make :
     the converse hold up to digest collision — no separator ambiguity. *)
 val fingerprint : Relational.Database.t -> string
 
-(** [find t fp] returns the cached entry and marks it most recently used.
-    The entry's content fingerprint is recomputed first: an entry whose
-    content no longer hashes to [fp] is {e stale} — it is evicted (counted
-    in {!type:stats}[.stale]) and [None] is returned, never served. *)
+(** [find t fp] returns the cached entry, marks it most recently used and
+    counts a hit in {!type:stats}[.hits]. The entry's content fingerprint is
+    recomputed first: an entry whose content no longer hashes to [fp] is
+    {e stale} — it is evicted (counted in {!type:stats}[.stale]) and [None]
+    is returned, never served. *)
 val find : t -> string -> entry option
 
-(** [find_or_compile ?tick t db] returns the entry for [db]'s fingerprint,
+(** [find_or_compile ?tick t db] is {!find} on [db]'s fingerprint,
     compiling (and caching, evicting the LRU entry if full) on a miss; the
     boolean is [true] on a hit. [tick] is threaded into
     {!Relational.Compiled.compile} on the miss path, so the requesting
@@ -123,7 +124,7 @@ val replace : t -> old_fingerprint:string -> entry -> unit
 
 type stats = {
   entries : int;
-  hits : int;
+  hits : int;  (** Lookups that {!find} served, through any caller. *)
   misses : int;
   evictions : int;  (** Capacity evictions {e plus} stale evictions. *)
   stale : int;  (** Entries evicted because content no longer matched key. *)

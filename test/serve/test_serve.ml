@@ -755,6 +755,38 @@ let test_daemon_corrupt_plane () =
   checkb "unsanitized daemon admits the corrupt plane" true
     (List.mem code [ Protocol.Ok_code; Protocol.Not_certain ])
 
+(* Plane-cache hit accounting: every named [certain] resolves through
+   [Plane_cache.find], so after N of them the stats frame's [planes.hits]
+   and the [serve.plane.hit] counter agree. *)
+let test_daemon_plane_hits () =
+  let d = Serve.Daemon.create base_config in
+  expect_code d "load" Protocol.Ok_code
+    {|{"op": "load", "name": "db1", "facts": "R(1 | 2)\nR(1 | 3)\nR(2 | 2)"}|};
+  let n = 4 in
+  for _ = 1 to n do
+    expect_code d "named certain" Protocol.Ok_code
+      {|{"op": "certain", "query": "R(x | y) R(y | x)", "db": "db1"}|}
+  done;
+  let _, j = handle d {|{"op": "stats"}|} in
+  let hits =
+    match field "planes" j with
+    | Json.Obj fields -> (
+        match List.assoc_opt "hits" fields with
+        | Some (Json.Int h) -> h
+        | _ -> Alcotest.fail "planes lacks hits")
+    | _ -> Alcotest.fail "stats lacks a planes object"
+  in
+  let counter =
+    match field "counters" j with
+    | Json.Obj counters -> (
+        match List.assoc_opt "serve.plane.hit" counters with
+        | Some (Json.Int c) -> c
+        | _ -> Alcotest.fail "counters lack serve.plane.hit")
+    | _ -> Alcotest.fail "stats lacks counters"
+  in
+  checki "serve.plane.hit counts every named certain" n counter;
+  checki "planes.hits = serve.plane.hit" counter hits
+
 (* The update op end-to-end: a patched plane answers subsequent queries (the
    answer actually flips when the witness fact is retracted), the rolling
    fingerprint is stable under retract-then-reinsert, an evicted entry falls
@@ -1014,6 +1046,7 @@ let () =
             test_daemon_fault_and_pressure;
           Alcotest.test_case "analyze op" `Quick test_daemon_analyze;
           Alcotest.test_case "corrupt plane" `Quick test_daemon_corrupt_plane;
+          Alcotest.test_case "plane cache hits" `Quick test_daemon_plane_hits;
           Alcotest.test_case "update op" `Quick test_daemon_update;
           Alcotest.test_case "request isolation" `Quick test_request_isolation;
         ] );

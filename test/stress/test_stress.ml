@@ -48,7 +48,7 @@ let db_certain =
 let force_edge name ~sites ~expect =
   let chaos = Chaos.make ~fail_p:1.0 ~sites () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget (Core.Dichotomy.classify q3) db_certain in
   check name (expect outcome)
 
 let deterministic () =
@@ -67,21 +67,21 @@ let deterministic () =
   let chaos = Chaos.make ~fail_p:1.0 ~sites:all_sites () in
   let budget = Budget.make ~chaos () in
   let outcome, _ =
-    Solver.solve_query ~budget ~estimate_trials:50 q3 db_certain
+    Solver.solve ~budget ~estimate_trials:50 (Core.Dichotomy.classify q3) db_certain
   in
   check "edge: all faulted -> estimate"
     (match outcome with Outcome.Estimated _ -> true | _ -> false);
   let chaos = Chaos.make ~fail_p:1.0 ~sites:all_sites () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget (Core.Dichotomy.classify q3) db_certain in
   check "edge: all faulted, no fallback -> solver error"
     (match outcome with Outcome.Solver_error _ -> true | _ -> false);
   let budget = Budget.make ~max_steps:1 () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget (Core.Dichotomy.classify q3) db_certain in
   check "edge: step budget -> budget exhausted"
     (match outcome with Outcome.Budget_exhausted -> true | _ -> false);
   let budget = Budget.make ~timeout:0.0 ~check_every:1 () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget (Core.Dichotomy.classify q3) db_certain in
   check "edge: deadline -> timeout"
     (match outcome with Outcome.Timeout -> true | _ -> false)
 
@@ -93,21 +93,21 @@ let q6 = Qlang.Parse.query_exn "R(x | y z) R(z | x y)"
 let fano = Workload.Designs.fano_minus 0
 
 let matching_edges () =
-  let outcome, _ = Solver.solve_query ~k:2 q6 fano in
+  let outcome, _ = Solver.solve ~k:2 (Core.Dichotomy.classify q6) fano in
   check "matching: baseline decides via the combined tier"
     (match outcome with
     | Outcome.Decided (true, Solver.Alg_combined 2) -> true
     | _ -> false);
   let chaos = Chaos.make ~fail_p:1.0 ~sites:[ "matching" ] () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~k:2 ~budget q6 fano in
+  let outcome, _ = Solver.solve ~k:2 ~budget (Core.Dichotomy.classify q6) fano in
   check "edge: matching fault -> sat"
     (match outcome with
     | Outcome.Decided (true, Solver.Alg_exact_sat) -> true
     | _ -> false);
   let chaos = Chaos.make ~pressure_p:1.0 ~sites:[ "matching" ] () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~k:2 ~budget q6 fano in
+  let outcome, _ = Solver.solve ~k:2 ~budget (Core.Dichotomy.classify q6) fano in
   check "edge: matching budget pressure -> budget exhausted"
     (match outcome with Outcome.Budget_exhausted -> true | _ -> false)
 
@@ -127,14 +127,14 @@ let sweep () =
   let wrong = ref 0 and degraded = ref 0 and decided = ref 0 in
   for seed = 1 to 200 do
     let db = Workload.Randdb.random_for_query gen q3 ~n_facts:12 ~domain:3 in
-    let reference = Cqa.Exact.certain_query q3 db in
+    let reference = Cqa.Exact.certain (Qlang.Solution_graph.of_query q3 db) in
     let chaos =
       Chaos.make ~seed ~fail_p:0.02 ~delay_p:0.01 ~delay_s:0.0001
         ~pressure_p:0.002 ()
     in
     let budget = Budget.make ~max_steps:5_000 ~chaos () in
     let outcome, attempts =
-      Solver.solve_query ~budget ~estimate_trials:10 ~seed q3 db
+      Solver.solve ~budget ~estimate_trials:10 ~seed (Core.Dichotomy.classify q3) db
     in
     List.iter
       (fun (a : Solver.attempt) ->

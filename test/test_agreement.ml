@@ -7,7 +7,8 @@
      non-certain instance), and exact whenever the dichotomy designates them
      as the deciding PTIME algorithm;
    - the degradation chain under [verify] runs every tier and its
-     cross-solver disagreement detector stays silent. *)
+     cross-solver disagreement detector stays silent;
+   - the chain's two front-ends and the session path are one chain. *)
 
 module Query = Qlang.Query
 module Parse = Qlang.Parse
@@ -81,8 +82,8 @@ let test_designated_algorithm_is_exact () =
       match report.Core.Dichotomy.verdict with
       | Core.Dichotomy.Conp_complete _ -> ()
       | Core.Dichotomy.Ptime _ ->
-          let answer, _ = Solver.certain report db in
-          let exact = Cqa.Exact.certain_query q db in
+          let answer, _ = Solver.decision (fst (Solver.solve report db)) in
+          let exact = Cqa.Exact.certain (Qlang.Solution_graph.of_query q db) in
           if answer <> exact then
             Alcotest.failf "designated algorithm %b vs exact %b on %s" answer
               exact (Query.to_string q))
@@ -118,6 +119,72 @@ let test_verify_chain_never_disagrees () =
             (Query.to_string q) (List.length attempts))
     instances
 
+(* On the catalogue × seeded random databases, [solve] on the database,
+   [solve_plane] on its compiled plane and [Session.certain] return the same
+   verdict and algorithm, and the two front-ends run the same attempts
+   (tier, algorithm, status), both with the designated PTIME tier and with
+   [exact_only]. One session per query walks the databases by delta
+   updates, so from the second database on it answers from an
+   incrementally repaired solution graph. *)
+let test_chain_front_ends_agree () =
+  let opts =
+    { Core.Tripath_search.default_options with Core.Tripath_search.max_merges = 1 }
+  in
+  let rng = Random.State.make [| 1302 |] in
+  let shape (_, attempts) =
+    List.map
+      (fun (a : Solver.attempt) -> (a.Solver.tier, a.Solver.algorithm, a.Solver.status))
+      attempts
+  in
+  let delta ~from db =
+    let facts = Relational.Database.facts in
+    List.filter_map
+      (fun f ->
+        if Relational.Database.mem db f then None
+        else Some (Relational.Delta.Retract f))
+      (facts from)
+    @ List.filter_map
+        (fun f ->
+          if Relational.Database.mem from f then None
+          else Some (Relational.Delta.Insert f))
+        (facts db)
+  in
+  List.iter
+    (fun (e : Workload.Catalog.entry) ->
+      let q = e.Workload.Catalog.query in
+      let empty = Relational.Database.of_facts [ q.Query.schema ] [] in
+      let session = ref (Core.Session.create ~opts q empty) in
+      let report = Core.Session.report !session in
+      List.iter
+        (fun i ->
+          let db =
+            Workload.Randdb.random_for_query rng q ~n_facts:(6 + (2 * i)) ~domain:3
+          in
+          session :=
+            Core.Session.update !session
+              (delta ~from:(Core.Session.database !session) db);
+          let plane = Relational.Compiled.compile db in
+          List.iter
+            (fun exact_only ->
+              if
+                shape (Solver.solve ~exact_only report db)
+                <> shape (Solver.solve_plane ~exact_only report plane)
+              then
+                Alcotest.failf "solve and solve_plane attempts differ on %s%s"
+                  e.Workload.Catalog.name
+                  (if exact_only then " (exact_only)" else ""))
+            [ false; true ];
+          let expected = Solver.decision (fst (Solver.solve report db)) in
+          let check what got =
+            if got <> expected then
+              Alcotest.failf "%s disagrees with solve on %s" what
+                e.Workload.Catalog.name
+          in
+          check "solve_plane" (Solver.decision (fst (Solver.solve_plane report plane)));
+          check "Session.certain" (Core.Session.certain !session))
+        [ 0; 1; 2; 3 ])
+    Workload.Catalog.all
+
 let () =
   Alcotest.run "agreement"
     [
@@ -132,5 +199,7 @@ let () =
             test_certk_matches_naive_oracle;
           Alcotest.test_case "verify chain never disagrees" `Quick
             test_verify_chain_never_disagrees;
+          Alcotest.test_case "chain front-ends agree" `Quick
+            test_chain_front_ends_agree;
         ] );
     ]

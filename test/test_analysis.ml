@@ -258,7 +258,7 @@ let test_solver_gate_degrades_on_tampered_certificate () =
   (* Tampered certificate: the PTIME tier fails, an exact tier decides. *)
   match Core.Solver.solve ~check_certificate:check tampered db with
   | Harness.Outcome.Decided (answer, alg), attempts ->
-      let expected = Cqa.Exact.certain_query q db in
+      let expected = Cqa.Exact.certain (Qlang.Solution_graph.of_query q db) in
       if answer <> expected then
         Alcotest.failf "degraded answer %b disagrees with exact %b" answer expected;
       (match alg with

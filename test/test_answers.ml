@@ -212,8 +212,8 @@ let fuzz_pipeline ~seed ~n_queries ~arity ~key_len =
     let report = Core.Dichotomy.classify ~opts q in
     for _ = 1 to 5 do
       let db = Workload.Randdb.random_for_query rng q ~n_facts:8 ~domain:3 in
-      let answer, _ = Core.Solver.certain report db in
-      let exact = Cqa.Exact.certain_query q db in
+      let answer, _ = Core.Solver.decision (fst (Core.Solver.solve report db)) in
+      let exact = Cqa.Exact.certain (Qlang.Solution_graph.of_query q db) in
       if answer <> exact then failures := (q, db) :: !failures
     done
   done;

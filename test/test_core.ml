@@ -289,9 +289,12 @@ let test_certain_one_atom () =
   let q = q3 in
   let atom = q.Query.a in
   let db = Database.of_facts [ q.Query.schema ] [ fact [ 1; 2 ]; fact [ 1; 3 ] ] in
-  Alcotest.(check bool) "block of matches" true (Solver.certain_one_atom atom db);
+  let plane = Relational.Compiled.compile db in
+  Alcotest.(check bool) "block of matches" true
+    (Solver.certain_one_atom_plane atom plane);
   let atom_c = Qlang.Atom.make "R" [ Qlang.Term.var "x"; Qlang.Term.cst (vi 2) ] in
-  Alcotest.(check bool) "constant restricts" false (Solver.certain_one_atom atom_c db)
+  Alcotest.(check bool) "constant restricts" false
+    (Solver.certain_one_atom_plane atom_c plane)
 
 let test_solver_dispatch () =
   (* The solver picks the algorithm designated by the verdict and answers
@@ -302,10 +305,10 @@ let test_solver_dispatch () =
       let report = Dichotomy.classify ~opts:fast q in
       for _ = 1 to 10 do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:10 ~domain:3 in
-        let answer, _alg = Solver.certain report db in
+        let answer, _alg = Solver.decision (fst (Solver.solve report db)) in
         Alcotest.(check bool)
           (Format.asprintf "solver agrees with exact on %a" Query.pp q)
-          (Cqa.Exact.certain_query q db) answer
+          (Cqa.Exact.certain (Qlang.Solution_graph.of_query q db)) answer
       done)
     [ q3; q5; q6; q2 ]
 
@@ -313,13 +316,14 @@ let test_solver_trivial_queries () =
   let q = Parse.query_exn "R(x | y) R(u | v)" in
   let report = Dichotomy.classify q in
   let db = Database.of_facts [ q.Query.schema ] [ fact [ 1; 2 ] ] in
-  let answer, alg = Solver.certain report db in
+  let answer, alg = Solver.decision (fst (Solver.solve report db)) in
   Alcotest.(check bool) "trivial query certain on nonempty db" true answer;
   (match alg with
   | Solver.Alg_one_atom -> ()
   | _ -> Alcotest.fail "expected the one-atom algorithm");
   let empty = Database.of_facts [ q.Query.schema ] [] in
-  Alcotest.(check bool) "not certain on empty db" false (fst (Solver.certain report empty))
+  Alcotest.(check bool) "not certain on empty db" false
+    (fst (Solver.decision (fst (Solver.solve report empty))))
 
 let () =
   Alcotest.run "core"

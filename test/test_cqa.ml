@@ -33,17 +33,18 @@ let test_exact_simple_certain () =
   (* blocks: {12}, {21,23}, {32}. Any repair contains 1->2 and either 2->1 or
      2->3; both complete a solution with 1->2 or 3->2 resp.? 2->3 with 3->2:
      q(2->3, 3->2) needs y=3 shared: R(2|3), R(3|2): yes. q(1->2, 2->1): yes. *)
-  Alcotest.(check bool) "certain" true (Cqa.Exact.certain_query q3 db);
+  Alcotest.(check bool) "certain" true (Cqa.Exact.certain (Solution_graph.of_query q3 db));
   Alcotest.(check bool) "enumeration agrees" true (Cqa.Exact.certain_enum q3 db)
 
 let test_exact_simple_not_certain () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 1; 5 ]; fact [ 2; 3 ] ] in
   (* Repair {1->5, 2->3} has no solution. *)
-  Alcotest.(check bool) "not certain" false (Cqa.Exact.certain_query q3 db);
+  Alcotest.(check bool) "not certain" false (Cqa.Exact.certain (Solution_graph.of_query q3 db));
   Alcotest.(check bool) "enumeration agrees" false (Cqa.Exact.certain_enum q3 db)
 
 let test_exact_empty_db () =
-  Alcotest.(check bool) "empty db not certain" false (Cqa.Exact.certain_query q3 (db_of q3 []))
+  Alcotest.(check bool) "empty db not certain" false
+    (Cqa.Exact.certain (Solution_graph.of_query q3 (db_of q3 [])))
 
 let test_falsifying_repair_is_independent () =
   let db = random_db q3 ~n:20 ~domain:4 in
@@ -64,7 +65,7 @@ let prop_exact_agrees_with_enumeration =
       return (List.map2 (fun k v -> fact [ k; v ]) ks vs))
     (fun facts ->
       let db = db_of q3 facts in
-      Cqa.Exact.certain_query q3 db = Cqa.Exact.certain_enum q3 db)
+      Cqa.Exact.certain (Solution_graph.of_query q3 db) = Cqa.Exact.certain_enum q3 db)
 
 let prop_exact_agrees_q6 =
   QCheck2.Test.make ~name:"backtracking = enumeration oracle (q6)" ~count:100
@@ -74,7 +75,7 @@ let prop_exact_agrees_q6 =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q6 facts in
-      Cqa.Exact.certain_query q6 db = Cqa.Exact.certain_enum q6 db)
+      Cqa.Exact.certain (Solution_graph.of_query q6 db) = Cqa.Exact.certain_enum q6 db)
 
 (* ------------------------------------------------------------------ *)
 (* Cert_k *)
@@ -96,7 +97,7 @@ let test_certk_kappa () =
 
 let test_certk_simple_yes () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 1 ] ] in
-  Alcotest.(check bool) "certain by Cert_2" true (Cqa.Certk.certain_query ~k:2 q3 db)
+  Alcotest.(check bool) "certain by Cert_2" true (Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 db))
 
 let test_certk_derived_minimal_sets () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ] ] in
@@ -125,7 +126,8 @@ let prop_certk_sound =
           rows
       in
       let db = db_of q facts in
-      (not (Cqa.Certk.certain_query ~k q db)) || Cqa.Exact.certain_query q db)
+      let g = Solution_graph.of_query q db in
+      (not (Cqa.Certk.run ~k g)) || Cqa.Exact.certain g)
 
 let prop_cert2_exact_on_thm4_class =
   (* Theorem 4: for q3 (shared variable inside key(B)), Cert_2 = CERTAIN. *)
@@ -137,7 +139,8 @@ let prop_cert2_exact_on_thm4_class =
       return (List.map2 (fun k v -> fact [ k; v ]) ks vs))
     (fun facts ->
       let db = db_of q3 facts in
-      Cqa.Certk.certain_query ~k:2 q3 db = Cqa.Exact.certain_query q3 db)
+      let g = Solution_graph.of_query q3 db in
+      Cqa.Certk.run ~k:2 g = Cqa.Exact.certain g)
 
 let prop_cert2_exact_on_q4 =
   let q4 = Parse.query_exn "R(x x | y) R(x y | y)" in
@@ -148,7 +151,8 @@ let prop_cert2_exact_on_q4 =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q4 facts in
-      Cqa.Certk.certain_query ~k:2 q4 db = Cqa.Exact.certain_query q4 db)
+      let g = Solution_graph.of_query q4 db in
+      Cqa.Certk.run ~k:2 g = Cqa.Exact.certain g)
 
 (* ------------------------------------------------------------------ *)
 (* Matching *)
@@ -203,7 +207,8 @@ let prop_combined_sound =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q6 facts in
-      (not (Cqa.Combined.certain_query ~k:2 q6 db)) || Cqa.Exact.certain_query q6 db)
+      let g = Solution_graph.of_query q6 db in
+      (not (Cqa.Combined.run ~k:2 g)) || Cqa.Exact.certain g)
 
 let prop_combined_exact_q6 =
   (* Theorem 18 for q6: the combination is exact (here already thanks to the
@@ -215,7 +220,8 @@ let prop_combined_exact_q6 =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q6 facts in
-      Cqa.Combined.certain_query ~k:2 q6 db = Cqa.Exact.certain_query q6 db)
+      let g = Solution_graph.of_query q6 db in
+      Cqa.Combined.run ~k:2 g = Cqa.Exact.certain g)
 
 let prop_sat_equals_backtracking =
   QCheck2.Test.make ~name:"SAT solver = backtracking solver" ~count:150

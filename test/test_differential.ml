@@ -131,13 +131,13 @@ let test_cross_plane_agreement () =
             [
               ( Printf.sprintf "certk-%d" k,
                 Cqa.Certk.run ~k g_ref,
-                Cqa.Certk.certain_plane ~k q plane );
+                Cqa.Certk.run ~k (Solution_graph.of_query_compiled q plane) );
               ( Printf.sprintf "certk-rounds-%d" k,
                 Cqa.Certk_rounds.run ~k g_ref,
-                Cqa.Certk_rounds.certain_plane ~k q plane );
+                Cqa.Certk_rounds.run ~k (Solution_graph.of_query_compiled q plane) );
               ( Printf.sprintf "certk-naive-%d" k,
                 Cqa.Certk_naive.run ~k g_ref,
-                Cqa.Certk_naive.certain_plane ~k q plane );
+                Cqa.Certk_naive.run ~k (Solution_graph.of_query_compiled q plane) );
             ]
           in
           List.iter
@@ -156,13 +156,13 @@ let test_cross_plane_agreement () =
             Alcotest.failf "%s: persistent %b / compiled %b on %s" name
               persistent compiled (Query.to_string q))
         [
-          ("exact", Cqa.Exact.certain g_ref, Cqa.Exact.certain_plane q plane);
+          ("exact", Cqa.Exact.certain g_ref, Cqa.Exact.certain (Solution_graph.of_query_compiled q plane));
           ( "satreduce",
             Cqa.Satreduce.certain g_ref,
-            Cqa.Satreduce.certain_plane q plane );
+            Cqa.Satreduce.certain (Solution_graph.of_query_compiled q plane) );
           ( "matching",
             not (Cqa.Matching_alg.run g_ref),
-            Cqa.Matching_alg.certain_plane q plane );
+            not (Cqa.Matching_alg.run (Solution_graph.of_query_compiled q plane)) );
         ];
       let trials = 30 in
       let e_db =

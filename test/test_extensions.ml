@@ -51,9 +51,9 @@ let prop_partition_certain_iff_some_component =
       return (List.map2 (fun k v -> fact [ k; v ]) ks vs))
     (fun facts ->
       let db = db_of q3 facts in
-      let direct = Cqa.Exact.certain_query q3 db in
+      let direct = Cqa.Exact.certain (Solution_graph.of_query q3 db) in
       let via_parts =
-        Cqa.Partition.certain_by_components (fun c -> Cqa.Exact.certain_query q3 c) q3 db
+        Cqa.Partition.certain_by_components (fun c -> Cqa.Exact.certain (Solution_graph.of_query q3 c)) q3 db
       in
       direct = via_parts)
 
@@ -68,8 +68,8 @@ let prop_partition_certk_distributes =
     (fun facts ->
       let db = db_of q3 facts in
       let parts = Cqa.Partition.split q3 db in
-      let some_part = List.exists (fun c -> Cqa.Certk.certain_query ~k:2 q3 c) parts in
-      (not some_part) || Cqa.Certk.certain_query ~k:2 q3 db)
+      let some_part = List.exists (fun c -> Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 c)) parts in
+      (not some_part) || Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 db))
 
 (* ------------------------------------------------------------------ *)
 (* Naive Cert_k as an oracle for the antichain implementation *)
@@ -159,9 +159,9 @@ let prop_montecarlo_agrees_with_exact_certainty =
       (* A counterexample genuinely disproves certainty; certainty forces
          frequency 1. *)
       (match e.Cqa.Montecarlo.counterexample with
-      | Some _ -> not (Cqa.Exact.certain_query q3 db)
+      | Some _ -> not (Cqa.Exact.certain (Solution_graph.of_query q3 db))
       | None -> true)
-      && ((not (Cqa.Exact.certain_query q3 db))
+      && ((not (Cqa.Exact.certain (Solution_graph.of_query q3 db)))
          || e.Cqa.Montecarlo.frequency = 1.0))
 
 (* ------------------------------------------------------------------ *)

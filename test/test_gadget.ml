@@ -29,7 +29,7 @@ let prop2_roundtrip q seed n =
   for _ = 1 to n do
     let db = Workload.Randdb.random_sjf rng s ~n_facts:10 ~domain:3 in
     let lhs = Cqa.Exact.certain_sjf s db in
-    let rhs = Cqa.Exact.certain_query q (Sjf.reduce q db) in
+    let rhs = Cqa.Exact.certain (Qlang.Solution_graph.of_query q (Sjf.reduce q db)) in
     if lhs <> rhs then ok := false
   done;
   !ok
@@ -119,7 +119,7 @@ let test_gadget_random_equivalence () =
     | Some (phi, db) ->
         incr tried;
         let sat = Dpll.is_sat phi in
-        let certain = Cqa.Exact.certain_query q2 db in
+        let certain = Cqa.Exact.certain (Qlang.Solution_graph.of_query q2 db) in
         Alcotest.(check bool)
           (Format.asprintf "equivalence for %a" Cnf.pp phi)
           (not sat) certain
@@ -150,7 +150,7 @@ let test_gadget_generalises_beyond_q2 () =
             incr checked;
             Alcotest.(check bool) "Lemma 13 for fork-2"
               (not (Dpll.is_sat phi))
-              (Cqa.Exact.certain_query q db)
+              (Cqa.Exact.certain (Qlang.Solution_graph.of_query q db))
       done
 
 let () =

@@ -92,10 +92,10 @@ let test_pipeline_agreement () =
       let report = Core.Dichotomy.classify ~opts:fast e.Catalog.query in
       for _ = 1 to 6 do
         let db = Workload.Randdb.random_for_query rng e.Catalog.query ~n_facts:10 ~domain:3 in
-        let answer, alg = Core.Solver.certain report db in
+        let answer, alg = Core.Solver.decision (fst (Core.Solver.solve report db)) in
         Alcotest.(check bool)
           (name ^ " pipeline = exact")
-          (Cqa.Exact.certain_query e.Catalog.query db)
+          (Cqa.Exact.certain (Solution_graph.of_query e.Catalog.query db))
           answer;
         (* PTIME verdicts must never fall back to exponential algorithms. *)
         match (report.Core.Dichotomy.verdict, alg) with
@@ -113,7 +113,9 @@ let test_pipeline_triangle_family () =
   | Core.Dichotomy.Ptime (Core.Dichotomy.Combined_triangle _) -> ()
   | _ -> Alcotest.fail "q6 must classify as triangle-only");
   for i = 0 to 6 do
-    let answer, alg = Core.Solver.certain report (Designs.fano_minus i) in
+    let answer, alg =
+      Core.Solver.decision (fst (Core.Solver.solve report (Designs.fano_minus i)))
+    in
     Alcotest.(check bool) "certain on fano minus line" true answer;
     match alg with
     | Core.Solver.Alg_combined _ -> ()
@@ -127,9 +129,12 @@ let test_parse_and_solve () =
       "# two employees claim the same office\nR[2,1]\nR(1 2)\nR(1 3)\nR(2 1)\nR(3 1)\n"
   in
   let q = Parse.query_exn "R(x | y) R(y | x)" in
-  let answer, _ = Core.Solver.certain_query q db in
+  let answer, _ =
+    Core.Solver.decision (fst (Core.Solver.solve (Core.Dichotomy.classify q) db))
+  in
   Alcotest.(check bool) "certain" true answer;
-  Alcotest.(check bool) "exact agrees" true (Cqa.Exact.certain_query q db)
+  Alcotest.(check bool) "exact agrees" true
+    (Cqa.Exact.certain (Solution_graph.of_query q db))
 
 let () =
   Alcotest.run "integration"

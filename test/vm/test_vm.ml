@@ -203,7 +203,7 @@ let prop_vm_differential =
         Cqa.Montecarlo.estimate_g (Random.State.make [| seed; 99 |]) ~trials:40 g
       in
       SG.equal g_p g_v
-      && Cqa.Certk.certain_plane ~k q plane = Cqa.Certk.certain_plane_vm ~k q plane
+      && Cqa.Certk.run ~k (Qlang.Solution_graph.of_query_compiled q plane) = Cqa.Certk.certain_plane_vm ~k q plane
       && Cqa.Certk.derived ~k g_p = Cqa.Certk.derived ~k g_v
       && Cqa.Certk.certificate ~k g_p = Cqa.Certk.certificate ~k g_v
       && sample g_p = sample g_v)
